@@ -74,7 +74,7 @@ fn assert_wm_states_identical(fused: &WmSketch, naive: &WmSketch, ctx: &str) {
 #[test]
 fn wm_fused_update_is_bit_identical_to_naive() {
     for (kind, depth) in shapes() {
-        for seed in [0u64, 7, 42] {
+        for seed in [0u64, 1, 7, 42] {
             let cfg = WmSketchConfig::new(128, depth)
                 .lambda(1e-5)
                 .seed(seed)
@@ -87,88 +87,6 @@ fn wm_fused_update_is_bit_identical_to_naive() {
             }
             assert_eq!(fused.examples_seen(), naive.examples_seen());
             assert_wm_states_identical(&fused, &naive, &format!("{kind:?} d{depth} s{seed}"));
-        }
-    }
-}
-
-/// The three-way guarantee of the vectorized update layer: the fused
-/// pipeline on the **scalar** kernel backend, the fused pipeline with
-/// the **AVX2** backend pinned (resolving to scalar only on hosts
-/// without AVX2), and the naive reference path all produce bit-identical
-/// models — across both hash families and depths past the 64-row stack
-/// buffer. Together with the CI leg that re-runs the whole suite under
-/// `WMSKETCH_FORCE_SCALAR=1`, this pins fused ≡ naive ≡ simd (and
-/// scalar-fallback ≡ simd).
-#[test]
-fn wm_and_awm_fused_three_way_scalar_simd_naive() {
-    use wmsketch_hashing::simd::{self, Backend};
-    for (kind, depth) in shapes() {
-        for seed in [1u64, 42] {
-            let data = stream(900, seed ^ 0x3A11);
-            // WM.
-            let cfg = WmSketchConfig::new(128, depth)
-                .lambda(1e-5)
-                .seed(seed)
-                .hash_family(kind);
-            let mut naive = WmSketch::new(cfg);
-            let mut scalar = WmSketch::new(cfg);
-            let mut dispatched = WmSketch::new(cfg);
-            for (x, y) in &data {
-                naive.update_naive(x, *y);
-                {
-                    let _guard = simd::force_backend(Some(Backend::Scalar));
-                    scalar.update(x, *y);
-                }
-                {
-                    // Resolves to scalar on non-AVX2 hosts; on AVX2 hosts
-                    // this pins the vectorized kernels regardless of what
-                    // the profitability calibration chose.
-                    let _guard = simd::force_backend(Some(Backend::Avx2));
-                    dispatched.update(x, *y);
-                }
-            }
-            let ctx = format!("WM {kind:?} d{depth} s{seed}");
-            assert_wm_states_identical(&scalar, &naive, &format!("{ctx} scalar-vs-naive"));
-            assert_wm_states_identical(&dispatched, &scalar, &format!("{ctx} simd-vs-scalar"));
-            // AWM (small heap so offers, rejections, and evictions occur).
-            let cfg = AwmSketchConfig::new(16, 128)
-                .depth(depth)
-                .lambda(1e-5)
-                .seed(seed)
-                .hash_family(kind);
-            let mut naive = AwmSketch::new(cfg);
-            let mut scalar = AwmSketch::new(cfg);
-            let mut dispatched = AwmSketch::new(cfg);
-            for (x, y) in &data {
-                naive.update_naive(x, *y);
-                {
-                    let _guard = simd::force_backend(Some(Backend::Scalar));
-                    scalar.update(x, *y);
-                }
-                {
-                    // Resolves to scalar on non-AVX2 hosts; on AVX2 hosts
-                    // this pins the vectorized kernels regardless of what
-                    // the profitability calibration chose.
-                    let _guard = simd::force_backend(Some(Backend::Avx2));
-                    dispatched.update(x, *y);
-                }
-            }
-            let ctx = format!("AWM {kind:?} d{depth} s{seed}");
-            for f in 0..700u32 {
-                let (n, s, d) = (
-                    naive.estimate(f),
-                    scalar.estimate(f),
-                    dispatched.estimate(f),
-                );
-                assert!(s == n, "{ctx}: estimate({f}) scalar {s} vs naive {n}");
-                assert!(d == s, "{ctx}: estimate({f}) simd {d} vs scalar {s}");
-                assert_eq!(scalar.in_active_set(f), naive.in_active_set(f), "{ctx} {f}");
-                assert_eq!(
-                    dispatched.in_active_set(f),
-                    scalar.in_active_set(f),
-                    "{ctx} {f}"
-                );
-            }
         }
     }
 }
@@ -210,7 +128,7 @@ fn wm_fused_matches_naive_under_aggressive_scale_folds() {
 #[test]
 fn awm_fused_update_is_bit_identical_to_naive() {
     for (kind, depth) in shapes() {
-        for seed in [0u64, 7, 42] {
+        for seed in [0u64, 1, 7, 42] {
             // Small heap so offers, rejections, and evictions all occur.
             let cfg = AwmSketchConfig::new(16, 128)
                 .depth(depth)

@@ -18,7 +18,6 @@
 
 use crate::mix::{fast_range, SplitMix64};
 use crate::poly::PolyHash;
-use crate::simd;
 use crate::tabulation::TabulationHash;
 
 /// Which hash family backs a sketch's rows.
@@ -49,9 +48,14 @@ pub struct BucketSign {
 /// Splits a raw 64-bit hash into the paper's `(h_j, σ_j)` pair. Bit 63 is
 /// the sign; the low 63 bits choose the bucket. Using disjoint bits keeps
 /// `h` and `σ` independent of each other.
+///
+/// The sign is built by copying bit 63 onto `1.0` rather than with an
+/// `if`: when the sign feeds a multiply directly (as in
+/// `signed_median_estimate`), LLVM turns the `if` into a branch on a
+/// fair coin, which mispredicts on half the rows.
 #[inline]
 fn split_bucket_sign(h: u64, width: u64) -> BucketSign {
-    let sign = if h >> 63 == 0 { 1.0 } else { -1.0 };
+    let sign = f64::from_bits(1.0f64.to_bits() | (h & (1 << 63)));
     let bucket = fast_range(h << 1, width) as u32;
     BucketSign { bucket, sign }
 }
@@ -307,32 +311,10 @@ impl RowHashers {
     }
 
     /// Rebuilds `plan` to cover `keys`, hashing each key exactly once per
-    /// row. The family dispatch happens once per call, not per key.
-    ///
-    /// Tabulation-hashed rows batch the hash mixing four keys at a time
-    /// through [`TabulationHash::hash_x4_avx2`] when the
-    /// [`simd::active_hash_backend`] is AVX2 (the per-chunk lookup tables
-    /// are shared across keys, so the mixing is embarrassingly parallel);
-    /// polynomial rows always run the scalar path (their `2^61 − 1`
-    /// field arithmetic needs 64×64 multiplies AVX2 does not have). Both
-    /// paths produce bit-identical plans — see
-    /// [`RowHashers::fill_plan_scalar`].
+    /// row. The family dispatch happens once per call, not per key, and
+    /// the plan's buffers are reused, so steady-state calls do not
+    /// allocate.
     pub fn fill_plan(&self, plan: &mut CoordPlan, keys: &[u32]) {
-        #[cfg(target_arch = "x86_64")]
-        if simd::active_hash_backend() == simd::Backend::Avx2 && keys.len() >= 4 {
-            if let Rows::Tab(rows) = &self.rows {
-                // SAFETY: Backend::Avx2 is only resolved on hosts that
-                // report AVX2 at runtime (the dispatch invariant).
-                unsafe { self.fill_plan_tab_avx2(rows, plan, keys) };
-                return;
-            }
-        }
-        self.fill_plan_scalar(plan, keys);
-    }
-
-    /// The scalar reference implementation of [`RowHashers::fill_plan`];
-    /// always available, used directly by differential tests.
-    pub fn fill_plan_scalar(&self, plan: &mut CoordPlan, keys: &[u32]) {
         plan.reset(self.rows.len(), keys.len());
         let width = self.width as usize;
         let w = u64::from(self.width);
@@ -348,63 +330,6 @@ impl RowHashers {
                         p.hash(k).wrapping_mul(POLY_SPREAD)
                     });
                 }
-            }
-        }
-    }
-
-    /// AVX2 batch plan fill for tabulation rows: four keys per group, one
-    /// [`TabulationHash::hash_x4_avx2`] per `(group, row)` pair, with the
-    /// bucket/sign split and the strided slot-major stores done in scalar
-    /// (they are cheap next to the table mixing). The plan contents are
-    /// bit-identical to [`RowHashers::fill_plan_scalar`] — tabulation
-    /// hashing is pure integer mixing and the split is shared code.
-    ///
-    /// # Safety
-    /// The caller must ensure the host supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn fill_plan_tab_avx2(
-        &self,
-        rows: &[TabulationHash],
-        plan: &mut CoordPlan,
-        keys: &[u32],
-    ) {
-        let depth = rows.len();
-        let width = self.width as usize;
-        let w = u64::from(self.width);
-        plan.depth = depth;
-        plan.nnz = keys.len();
-        plan.offsets.clear();
-        plan.signs.clear();
-        plan.offsets.resize(depth * keys.len(), 0);
-        plan.signs.resize(depth * keys.len(), 0.0);
-        let groups = keys.len() / 4;
-        for g in 0..groups {
-            let base = g * 4;
-            let k4 = [
-                u64::from(keys[base]),
-                u64::from(keys[base + 1]),
-                u64::from(keys[base + 2]),
-                u64::from(keys[base + 3]),
-            ];
-            for (j, t) in rows.iter().enumerate() {
-                // SAFETY: AVX2 availability is this function's own safety
-                // contract, upheld by the dispatch in `fill_plan`.
-                let h4 = unsafe { t.hash_x4_avx2(k4) };
-                for (lane, h) in h4.into_iter().enumerate() {
-                    let bs = split_bucket_sign(h, w);
-                    let at = (base + lane) * depth + j;
-                    plan.offsets[at] = (j * width + bs.bucket as usize) as u32;
-                    plan.signs[at] = bs.sign;
-                }
-            }
-        }
-        for (slot, &key) in keys.iter().enumerate().skip(groups * 4) {
-            for (j, t) in rows.iter().enumerate() {
-                let bs = split_bucket_sign(t.hash(u64::from(key)), w);
-                let at = slot * depth + j;
-                plan.offsets[at] = (j * width + bs.bucket as usize) as u32;
-                plan.signs[at] = bs.sign;
             }
         }
     }
@@ -464,6 +389,20 @@ fn push_key_coords<H>(
 ///
 /// All buffers are retained across [`CoordPlan::reset`] calls; steady-state
 /// updates do no allocation at all.
+///
+/// # Bit identity
+///
+/// The WM- and AWM-Sketch fused updates replay a plan through the slot
+/// methods below and must leave state bit-identical to their naive
+/// per-row traversals (the golden `fused ≡ naive` tests in
+/// `wmsketch-core` pin this). The slot loops keep that only while:
+///
+/// * the projection folds `acc += s * c` in row order, never in partial
+///   sums or another association;
+/// * per-element values use exactly `scale * s * c` (left-associated)
+///   and scatters exactly `c + s * delta`;
+/// * no multiply-add is contracted into one rounding (`f64::mul_add`
+///   or an FMA), which changes the low bits.
 #[derive(Default, Clone)]
 pub struct CoordPlan {
     /// `nnz × depth` flat cell offsets, slot-major.
@@ -541,23 +480,32 @@ impl CoordPlan {
     }
 
     /// The sign-corrected dot of slot `slot` against a cell array:
-    /// `Σ_j signs[j] · cells[offsets[j]]`, accumulated in row order —
-    /// bit-identical to the naive per-row traversal (the
-    /// [`simd::gather_dot`] kernel vectorizes only the loads and
-    /// multiplies; the reduction stays in row order).
+    /// `Σ_j signs[j] · cells[offsets[j]]`, accumulated in row order.
+    ///
+    /// # Panics
+    /// Panics if `slot >= nnz` or `cells` is shorter than the sketch.
     #[inline]
     #[must_use]
     pub fn slot_projection(&self, slot: usize, cells: &[f64]) -> f64 {
         let (offsets, signs) = self.coords(slot);
-        simd::gather_dot(cells, offsets, signs)
+        let mut acc = 0.0;
+        for (&o, &s) in offsets.iter().zip(signs) {
+            acc += s * cells[o as usize];
+        }
+        acc
     }
 
-    /// Adds `signs[j] · delta` to each of slot `slot`'s cells, through
-    /// the runtime-dispatched [`simd::scatter_add`] kernel.
+    /// Adds `signs[j] · delta` to each of slot `slot`'s cells, in row
+    /// order.
+    ///
+    /// # Panics
+    /// Panics if `slot >= nnz` or `cells` is shorter than the sketch.
     #[inline]
     pub fn slot_scatter(&self, slot: usize, cells: &mut [f64], delta: f64) {
         let (offsets, signs) = self.coords(slot);
-        simd::scatter_add(cells, offsets, signs, delta);
+        for (&o, &s) in offsets.iter().zip(signs) {
+            cells[o as usize] += s * delta;
+        }
     }
 
     /// Fills the plan-owned scratch with slot `slot`'s sign-corrected
@@ -574,13 +522,10 @@ impl CoordPlan {
         let hi = lo + self.depth;
         self.scratch.clear();
         self.scratch.resize(self.depth, 0.0);
-        simd::gather_scaled(
-            cells,
-            &self.offsets[lo..hi],
-            &self.signs[lo..hi],
-            scale,
-            &mut self.scratch,
-        );
+        let coords = self.offsets[lo..hi].iter().zip(&self.signs[lo..hi]);
+        for ((&o, &s), v) in coords.zip(&mut self.scratch) {
+            *v = scale * s * cells[o as usize];
+        }
         &mut self.scratch
     }
 
@@ -606,14 +551,12 @@ impl CoordPlan {
         let hi = lo + self.depth;
         self.scratch.clear();
         self.scratch.resize(self.depth, 0.0);
-        simd::scatter_add_values(
-            cells,
-            &self.offsets[lo..hi],
-            &self.signs[lo..hi],
-            delta,
-            scale,
-            &mut self.scratch,
-        );
+        let coords = self.offsets[lo..hi].iter().zip(&self.signs[lo..hi]);
+        for ((&o, &s), v) in coords.zip(&mut self.scratch) {
+            let cell = &mut cells[o as usize];
+            *cell += s * delta;
+            *v = scale * s * *cell;
+        }
         &mut self.scratch
     }
 }
@@ -738,7 +681,7 @@ mod tests {
     #[test]
     fn plan_matches_reference_traversal() {
         for kind in [HashFamilyKind::Tabulation, HashFamilyKind::Polynomial(4)] {
-            for depth in [1u32, 3, 7] {
+            for depth in [1u32, 3, 7, 80] {
                 let hs = RowHashers::new(kind, depth, 96, 4);
                 let keys: Vec<u32> = vec![0, 5, 17, 96, 1000, u32::MAX];
                 let mut plan = CoordPlan::new();
