@@ -333,17 +333,39 @@ impl AwmSketch {
         self.dirty.touch_heap();
     }
 
+    /// The margin by the seed implementation's per-row traversal
+    /// ([`RowHashers::bucket_signs`]), retained as the reference that
+    /// [`OnlineLearner::margin`] must match bit for bit.
+    pub fn margin_naive(&self, x: &SparseVector) -> f64 {
+        // τ = Σ_{i∈S} S[i]·x_i + zᵀRx_{∉S}, all times the global scale.
+        let width = self.cfg.width as usize;
+        let mut acc = 0.0;
+        for (i, xi) in x.iter() {
+            if let Some(w) = self.active.get(i) {
+                acc += w * xi;
+            } else {
+                let mut proj = 0.0;
+                for (j, bs) in self.hashers.bucket_signs(u64::from(i)) {
+                    proj += bs.sign * self.z[j * width + bs.bucket as usize];
+                }
+                acc += xi * proj * self.inv_sqrt_s;
+            }
+        }
+        self.scale.load(acc)
+    }
+
     /// The seed implementation's multi-pass update, retained as the
     /// reference path: each sketched feature is hashed once for the margin,
     /// once for the candidate-weight query, and (on rejection or eviction)
-    /// once more for the sketch write. [`OnlineLearner::update`] is the
-    /// fused single-hash pipeline; golden tests assert bit-identical state.
+    /// once more for the sketch write, each time row by row.
+    /// [`OnlineLearner::update`] is the fused single-hash pipeline; golden
+    /// tests assert bit-identical state.
     pub fn update_naive(&mut self, x: &SparseVector, y: Label) {
         debug_check_label(y);
         self.t += 1;
         self.dirty.set_epoch(self.t);
         let eta = self.cfg.learning_rate.at(self.t);
-        let tau = self.margin(x);
+        let tau = self.margin_naive(x);
         let g = self.cfg.loss.deriv(f64::from(y) * tau) * f64::from(y);
         if self.scale.decay(eta, self.cfg.lambda) {
             self.fold_scale();
@@ -694,18 +716,18 @@ impl SnapshotCodec for AwmSketch {
 }
 
 impl OnlineLearner for AwmSketch {
+    /// τ = Σ_{i∈S} S[i]·x_i + zᵀRx_{∉S}, all times the global scale. Each
+    /// sketched feature's rows come from one hashing pass; the fold order
+    /// matches [`AwmSketch::margin_naive`], so the two are bit-identical.
     fn margin(&self, x: &SparseVector) -> f64 {
-        // τ = Σ_{i∈S} S[i]·x_i + zᵀRx_{∉S}, all times the global scale.
-        let width = self.cfg.width as usize;
         let mut acc = 0.0;
         for (i, xi) in x.iter() {
             if let Some(w) = self.active.get(i) {
                 acc += w * xi;
             } else {
                 let mut proj = 0.0;
-                for (j, bs) in self.hashers.bucket_signs(u64::from(i)) {
-                    proj += bs.sign * self.z[j * width + bs.bucket as usize];
-                }
+                self.hashers
+                    .for_each_coord(u64::from(i), |offset, sign| proj += sign * self.z[offset]);
                 acc += xi * proj * self.inv_sqrt_s;
             }
         }

@@ -268,7 +268,14 @@ impl WmSketch {
         self.dirty.touch_all();
     }
 
-    /// Pre-scale margin contribution `z_vᵀRx`.
+    /// The margin by the seed implementation's per-row traversal
+    /// ([`RowHashers::bucket_signs`]), retained as the reference that
+    /// [`OnlineLearner::margin`] must match bit for bit.
+    pub fn margin_naive(&self, x: &SparseVector) -> f64 {
+        self.scale.load(self.raw_margin(x))
+    }
+
+    /// Pre-scale margin contribution `z_vᵀRx`, row by row.
     fn raw_margin(&self, x: &SparseVector) -> f64 {
         let width = self.cfg.width as usize;
         let mut acc = 0.0;
@@ -703,8 +710,18 @@ impl SnapshotCodec for WmSketch {
 }
 
 impl OnlineLearner for WmSketch {
+    /// `α · z_vᵀRx` with each feature's rows from one hashing pass. The
+    /// fold order matches [`WmSketch::margin_naive`], so the two are
+    /// bit-identical.
     fn margin(&self, x: &SparseVector) -> f64 {
-        self.scale.load(self.raw_margin(x))
+        let mut acc = 0.0;
+        for (i, xi) in x.iter() {
+            let mut proj = 0.0;
+            self.hashers
+                .for_each_coord(u64::from(i), |offset, sign| proj += sign * self.z[offset]);
+            acc += xi * proj;
+        }
+        self.scale.load(acc * self.inv_sqrt_s)
     }
 
     /// The fused single-hash update pipeline.

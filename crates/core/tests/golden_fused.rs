@@ -161,6 +161,47 @@ fn awm_fused_update_is_bit_identical_to_naive() {
     }
 }
 
+/// `margin()` hashes each feature's rows in one pass; `margin_naive()`
+/// keeps the seed's per-row traversal. Both fold in the same order, so
+/// every margin — on trained and untrained features, through the active
+/// set and the sketch — must agree to the bit.
+#[test]
+fn margin_is_bit_identical_to_per_row_reference() {
+    let probes: Vec<SparseVector> = stream(64, 0xFACE)
+        .into_iter()
+        .map(|(x, _)| x)
+        .chain([
+            SparseVector::from_pairs(&[(3, 1.0), (9, -0.5), (123, 2.0)]),
+            SparseVector::from_pairs(&[(0, -1.25), (70_000, 0.5), (u32::MAX, 3.0)]),
+        ])
+        .collect();
+    for (kind, depth) in shapes() {
+        let ctx = format!("{kind:?} d{depth}");
+        let mut wm = WmSketch::new(
+            WmSketchConfig::new(128, depth)
+                .heap_capacity(32)
+                .seed(5)
+                .hash_family(kind),
+        );
+        let mut awm = AwmSketch::new(
+            AwmSketchConfig::new(16, 128)
+                .depth(depth)
+                .seed(5)
+                .hash_family(kind),
+        );
+        for (x, y) in &stream(500, 0xBEEF) {
+            wm.update(x, *y);
+            awm.update(x, *y);
+        }
+        for (n, x) in probes.iter().enumerate() {
+            let (a, b) = (wm.margin(x), wm.margin_naive(x));
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: WM probe {n}: {a} vs {b}");
+            let (a, b) = (awm.margin(x), awm.margin_naive(x));
+            assert_eq!(a.to_bits(), b.to_bits(), "{ctx}: AWM probe {n}: {a} vs {b}");
+        }
+    }
+}
+
 #[test]
 fn awm_fused_handles_capacity_one_eviction_churn() {
     // Capacity-1 active set maximizes mid-update membership churn — the

@@ -5,6 +5,10 @@
 //! (random sign). The theoretical analysis assumes `Θ(log(d/δ))`-wise
 //! independence, but the authors' implementation — and ours, by default —
 //! uses fast 3-wise-independent **tabulation hashing** (paper, Appendix B).
+//! A sketch's rows share one row-interleaved tabulation table, so a
+//! feature's hashes under every row come from one contiguous pass, and a
+//! feature id below `2^32` (every learner feature) needs four lookups per
+//! pass instead of eight (see [`tabulation`]).
 //! For theory-faithful experiments we also provide a genuinely k-wise
 //! independent **polynomial hash family** over the Mersenne prime `2^61 - 1`
 //! (Carter–Wegman construction).

@@ -7,18 +7,24 @@
 //! bits) select the bucket, which costs one table-hash evaluation per row
 //! per feature.
 //!
-//! [`RowHashers`] stores the rows *monomorphized by family* — a
-//! `Vec<TabulationHash>` or a `Vec<PolyHash>`, never a vector of enums — so
-//! the batch entry points ([`RowHashers::fill_plan`],
-//! [`RowHashers::for_each_coord`]) dispatch on the family once per call and
-//! run the row loop on concrete types. The single-hash update pipeline in
-//! `wmsketch-core` builds a [`CoordPlan`] per example and replays it for the
-//! margin, the gradient scatter, and heap re-estimation, paying the hash
-//! cost exactly once per `(feature, row)` pair.
+//! [`RowHashers`] stores the rows *monomorphized by family* — one
+//! row-interleaved tabulation table or a `Vec<PolyHash>`, never a
+//! vector of enums. The batch entry points ([`RowHashers::fill_plan`],
+//! [`RowHashers::plan_push`], [`RowHashers::for_each_coord`],
+//! [`RowHashers::for_each_bucket`]) dispatch on the family once per call
+//! and hash a key under all of its rows in one pass into a block buffer —
+//! under tabulation, four contiguous row-vector lookups for a key below
+//! `2^32`. The planning calls reuse a buffer the [`CoordPlan`] owns; the
+//! single-key visitors use one on the stack.
+//!
+//! The single-hash update pipeline in `wmsketch-core` builds a
+//! [`CoordPlan`] per example and replays it for the margin, the gradient
+//! scatter, and heap re-estimation, paying the hash cost exactly once per
+//! `(feature, row)` pair.
 
 use crate::mix::{fast_range, SplitMix64};
 use crate::poly::PolyHash;
-use crate::tabulation::TabulationHash;
+use crate::tabulation::{TabulationHash, TabulationRows};
 
 /// Which hash family backs a sketch's rows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,18 +135,18 @@ impl RowHasher {
     }
 }
 
-/// Monomorphized row storage: one vector of concrete hash functions per
-/// family, so batch loops never dispatch per row.
+/// Row storage, one concrete representation per family, so a key is
+/// hashed under a block of rows without dispatching per row.
 #[derive(Clone)]
 enum Rows {
-    Tab(Vec<TabulationHash>),
+    Tab(TabulationRows),
     Poly(Vec<PolyHash>),
 }
 
 impl Rows {
     fn len(&self) -> usize {
         match self {
-            Rows::Tab(v) => v.len(),
+            Rows::Tab(t) => t.depth(),
             Rows::Poly(v) => v.len(),
         }
     }
@@ -148,13 +154,146 @@ impl Rows {
     #[inline]
     fn raw(&self, j: usize, key: u64) -> u64 {
         match self {
-            Rows::Tab(v) => v[j].hash(key),
+            Rows::Tab(t) => t.hash(j, key),
             Rows::Poly(v) => v[j].hash(key).wrapping_mul(POLY_SPREAD),
         }
     }
 }
 
+/// A family's rows, hashed one block of rows at a time. Implemented by
+/// each concrete row representation, so the block loops below are
+/// monomorphized per family.
+trait RowBlock {
+    /// Writes `key`'s raw hashes under rows `first..first + out.len()`.
+    fn hash_rows(&self, key: u64, first: usize, out: &mut [u64]);
+}
+
+impl RowBlock for TabulationRows {
+    #[inline(always)]
+    fn hash_rows(&self, key: u64, first: usize, out: &mut [u64]) {
+        TabulationRows::hash_rows(self, key, first, out);
+    }
+}
+
+impl RowBlock for [PolyHash] {
+    #[inline]
+    fn hash_rows(&self, key: u64, first: usize, out: &mut [u64]) {
+        for (o, p) in out.iter_mut().zip(&self[first..]) {
+            *o = p.hash(key).wrapping_mul(POLY_SPREAD);
+        }
+    }
+}
+
+/// Rows hashed per block; sketches deeper than this hash a key in several
+/// blocks.
+const BLOCK: usize = 64;
+
+/// Hashes `key` under all `depth` rows, [`BLOCK`] rows at a time through
+/// `buf` (at least `min(depth, BLOCK)` long), and calls
+/// `f(first_row, hashes)` for each block in row order.
+#[inline(always)]
+fn hash_blocks<R: RowBlock + ?Sized>(
+    rows: &R,
+    depth: usize,
+    key: u64,
+    buf: &mut [u64],
+    mut f: impl FnMut(usize, &[u64]),
+) {
+    // One block covers every sketch shape in use. Without this separate
+    // path the block loop's bookkeeping costs a third of `fill_plan`.
+    if depth <= BLOCK {
+        let out = &mut buf[..depth];
+        rows.hash_rows(key, 0, out);
+        f(0, out);
+        return;
+    }
+    for first in (0..depth).step_by(BLOCK) {
+        let out = &mut buf[..BLOCK.min(depth - first)];
+        rows.hash_rows(key, first, out);
+        f(first, out);
+    }
+}
+
+/// Writes `key`'s flat offsets and signs under every row into one slot's
+/// `offsets` and `signs` (each `depth` long).
+#[inline(always)]
+fn write_slot<R: RowBlock + ?Sized>(
+    rows: &R,
+    width: u32,
+    key: u64,
+    offsets: &mut [u32],
+    signs: &mut [f64],
+    buf: &mut [u64],
+) {
+    let w = u64::from(width);
+    let width = width as usize;
+    hash_blocks(rows, offsets.len(), key, buf, |first, hashes| {
+        let offsets = &mut offsets[first..first + hashes.len()];
+        for (j, (o, &h)) in offsets.iter_mut().zip(hashes).enumerate() {
+            *o = ((first + j) * width + split_bucket_sign(h, w).bucket as usize) as u32;
+        }
+        for (s, &h) in signs[first..].iter_mut().zip(hashes) {
+            *s = split_bucket_sign(h, w).sign;
+        }
+    });
+}
+
+/// Fills a freshly reset `plan` with one slot per key, in key order,
+/// writing each slot in place (`reset` sized the buffers; growing them
+/// per key costs a sixth of `fill_plan` more).
+#[inline(always)]
+fn fill_slots<R: RowBlock + ?Sized>(rows: &R, width: u32, plan: &mut CoordPlan, keys: &[u32]) {
+    let depth = plan.depth;
+    let slots = plan
+        .offsets
+        .chunks_exact_mut(depth)
+        .zip(plan.signs.chunks_exact_mut(depth));
+    for (&key, (offsets, signs)) in keys.iter().zip(slots) {
+        write_slot(
+            rows,
+            width,
+            u64::from(key),
+            offsets,
+            signs,
+            &mut plan.hashes,
+        );
+    }
+    plan.nnz = keys.len();
+}
+
+/// Appends `key`'s coordinates under every row to `plan` as a new slot,
+/// pushing them (for one key this beats resizing and writing in place).
+#[inline(always)]
+fn push_slot<R: RowBlock + ?Sized>(rows: &R, width: u32, plan: &mut CoordPlan, key: u64) -> usize {
+    let w = u64::from(width);
+    let width = width as usize;
+    let slot = plan.nnz;
+    plan.nnz += 1;
+    let CoordPlan {
+        offsets,
+        signs,
+        hashes,
+        depth,
+        ..
+    } = plan;
+    hash_blocks(rows, *depth, key, hashes, |first, hashes| {
+        for (j, &h) in (first..).zip(hashes) {
+            let bs = split_bucket_sign(h, w);
+            offsets.push((j * width + bs.bucket as usize) as u32);
+            signs.push(bs.sign);
+        }
+    });
+    slot
+}
+
 /// The full set of row hashers for a depth-`s` sketch.
+///
+/// Under tabulation the rows share one row-interleaved table
+/// (see [`crate::tabulation`]), so a key's bucket and sign in every row come
+/// from one contiguous pass — four lookups per row-vector for keys below
+/// `2^32` — instead of one table walk per row. Row `j` hashes exactly as
+/// `RowHasher::new(kind, width, seed_j)` does for the `j`-th seed drawn
+/// from `SplitMix64::new(seed)`.
 ///
 /// Cloning copies the row hash functions byte for byte, so a clone assigns
 /// every key the same cells and signs — the property sharded learners rely
@@ -191,11 +330,10 @@ impl RowHashers {
         );
         let mut seeds = SplitMix64::new(seed);
         let rows = match kind {
-            HashFamilyKind::Tabulation => Rows::Tab(
-                (0..depth)
-                    .map(|_| TabulationHash::new(seeds.next_u64()))
-                    .collect(),
-            ),
+            HashFamilyKind::Tabulation => {
+                let row_seeds: Vec<u64> = (0..depth).map(|_| seeds.next_u64()).collect();
+                Rows::Tab(TabulationRows::new(&row_seeds))
+            }
             HashFamilyKind::Polynomial(k) => Rows::Poly(
                 (0..depth)
                     .map(|_| PolyHash::new(k, seeds.next_u64()))
@@ -218,18 +356,16 @@ impl RowHashers {
     }
 
     /// Heap bytes the row hash functions own. For the tabulation default
-    /// this is 16 KiB *per row* — typically far more than a small
-    /// sketch's cell array, and the reason a memory-governed registry
-    /// must not cost models by the paper's §7.1 figure alone (hashers
-    /// rebuild deterministically from the config seed, so spilling a
-    /// model to disk reclaims this in full).
+    /// this is 16 KiB *per row* (plus an 8-byte folding constant) —
+    /// typically far more than a small sketch's cell array, and the
+    /// reason a memory-governed registry must not cost models by the
+    /// paper's §7.1 figure alone (hashers rebuild deterministically from
+    /// the config seed, so spilling a model to disk reclaims this in
+    /// full).
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         match &self.rows {
-            Rows::Tab(v) => {
-                v.capacity() * std::mem::size_of::<TabulationHash>()
-                    + v.iter().map(TabulationHash::resident_bytes).sum::<usize>()
-            }
+            Rows::Tab(t) => t.resident_bytes(),
             Rows::Poly(v) => {
                 v.capacity() * std::mem::size_of::<PolyHash>()
                     + v.iter().map(PolyHash::resident_bytes).sum::<usize>()
@@ -258,79 +394,63 @@ impl RowHashers {
 
     /// Iterates over `(row_index, BucketSign)` for a feature key.
     ///
-    /// This is the *reference* path: it dispatches on the hash family per
-    /// row. The batch entry points below hoist that dispatch out of the
-    /// loop; the fused sketch updates use those.
+    /// This is the *reference* path: it hashes each row separately. The
+    /// batch entry points below hash all of a key's rows in one pass; the
+    /// fused sketch updates and the learners' margins use those.
     #[inline]
     pub fn bucket_signs(&self, key: u64) -> impl Iterator<Item = (usize, BucketSign)> + '_ {
         (0..self.rows.len()).map(move |j| (j, self.bucket_sign(j, key)))
     }
 
-    /// Calls `f(flat_offset, sign)` for every row's cell of `key`, where
-    /// `flat_offset = row × width + bucket` indexes a row-major cell array.
-    /// Dispatches on the hash family once per call.
+    /// Hashes one key under every row through a per-call buffer; see
+    /// [`hash_blocks`].
+    #[inline(always)]
+    fn hash_key(&self, key: u64, f: impl FnMut(usize, &[u64])) {
+        let buf = &mut [0; BLOCK];
+        let depth = self.rows.len();
+        match &self.rows {
+            Rows::Tab(t) => hash_blocks(t, depth, key, buf, f),
+            Rows::Poly(p) => hash_blocks(p.as_slice(), depth, key, buf, f),
+        }
+    }
+
+    /// Calls `f(flat_offset, sign)` for every row's cell of `key`, in row
+    /// order, where `flat_offset = row × width + bucket` indexes a
+    /// row-major cell array. All rows come from one hashing pass.
     #[inline]
     pub fn for_each_coord<F: FnMut(usize, f64)>(&self, key: u64, mut f: F) {
         let width = self.width as usize;
         let w = u64::from(self.width);
-        match &self.rows {
-            Rows::Tab(rows) => {
-                for (j, t) in rows.iter().enumerate() {
-                    let bs = split_bucket_sign(t.hash(key), w);
-                    f(j * width + bs.bucket as usize, bs.sign);
-                }
+        self.hash_key(key, |first, hashes| {
+            for (j, &h) in (first..).zip(hashes) {
+                let bs = split_bucket_sign(h, w);
+                f(j * width + bs.bucket as usize, bs.sign);
             }
-            Rows::Poly(rows) => {
-                for (j, p) in rows.iter().enumerate() {
-                    let bs = split_bucket_sign(p.hash(key).wrapping_mul(POLY_SPREAD), w);
-                    f(j * width + bs.bucket as usize, bs.sign);
-                }
-            }
-        }
+        });
     }
 
     /// Calls `f(flat_offset)` for every row's cell of `key` (unsigned
-    /// sketches). Buckets match [`RowHashers::bucket`].
+    /// sketches), in row order. Buckets match [`RowHashers::bucket`].
     #[inline]
     pub fn for_each_bucket<F: FnMut(usize)>(&self, key: u64, mut f: F) {
         let width = self.width as usize;
         let w = u64::from(self.width);
-        match &self.rows {
-            Rows::Tab(rows) => {
-                for (j, t) in rows.iter().enumerate() {
-                    f(j * width + fast_range(t.hash(key) << 1, w) as usize);
-                }
+        self.hash_key(key, |first, hashes| {
+            for (j, &h) in (first..).zip(hashes) {
+                f(j * width + fast_range(h << 1, w) as usize);
             }
-            Rows::Poly(rows) => {
-                for (j, p) in rows.iter().enumerate() {
-                    let h = p.hash(key).wrapping_mul(POLY_SPREAD);
-                    f(j * width + fast_range(h << 1, w) as usize);
-                }
-            }
-        }
+        });
     }
 
-    /// Rebuilds `plan` to cover `keys`, hashing each key exactly once per
-    /// row. The family dispatch happens once per call, not per key, and
+    /// Rebuilds `plan` to cover `keys`, hashing each key's rows in one
+    /// pass. The family dispatch happens once per call, not per key, and
     /// the plan's buffers are reused, so steady-state calls do not
     /// allocate.
     pub fn fill_plan(&self, plan: &mut CoordPlan, keys: &[u32]) {
         plan.reset(self.rows.len(), keys.len());
-        let width = self.width as usize;
-        let w = u64::from(self.width);
         match &self.rows {
-            Rows::Tab(rows) => {
-                for &key in keys {
-                    push_key_coords(rows, width, w, u64::from(key), plan, |t, k| t.hash(k));
-                }
-            }
-            Rows::Poly(rows) => {
-                for &key in keys {
-                    push_key_coords(rows, width, w, u64::from(key), plan, |p, k| {
-                        p.hash(k).wrapping_mul(POLY_SPREAD)
-                    });
-                }
-            }
+            Rows::Tab(t) => fill_slots(t, self.width, plan, keys),
+            Rows::Poly(p) => fill_slots(p.as_slice(), self.width, plan, keys),
         }
     }
 
@@ -342,34 +462,11 @@ impl RowHashers {
 
     /// Appends one key's coordinates to `plan`, returning its slot index.
     pub fn plan_push(&self, plan: &mut CoordPlan, key: u64) -> usize {
-        let width = self.width as usize;
-        let w = u64::from(self.width);
         match &self.rows {
-            Rows::Tab(rows) => push_key_coords(rows, width, w, key, plan, |t, k| t.hash(k)),
-            Rows::Poly(rows) => push_key_coords(rows, width, w, key, plan, |p, k| {
-                p.hash(k).wrapping_mul(POLY_SPREAD)
-            }),
+            Rows::Tab(t) => push_slot(t, self.width, plan, key),
+            Rows::Poly(p) => push_slot(p.as_slice(), self.width, plan, key),
         }
     }
-}
-
-#[inline]
-fn push_key_coords<H>(
-    rows: &[H],
-    width: usize,
-    w: u64,
-    key: u64,
-    plan: &mut CoordPlan,
-    raw: impl Fn(&H, u64) -> u64,
-) -> usize {
-    let slot = plan.nnz;
-    plan.nnz += 1;
-    for (j, h) in rows.iter().enumerate() {
-        let bs = split_bucket_sign(raw(h, key), w);
-        plan.offsets.push((j * width + bs.bucket as usize) as u32);
-        plan.signs.push(bs.sign);
-    }
-    slot
 }
 
 /// Cached per-example sketch coordinates — the heart of the single-hash
@@ -391,6 +488,13 @@ fn push_key_coords<H>(
 /// updates do no allocation at all.
 ///
 /// # Bit identity
+///
+/// The plan's coordinates are the per-row ones: row `j` of a slot holds
+/// exactly [`RowHashers::bucket_sign`]`(j, key)`, although the batch
+/// paths compute all rows at once from the row-interleaved table and, for
+/// keys below `2^32`, fold the four zero high bytes into one per-row
+/// constant (the `known_answer` tests of `wmsketch-hashing` pin the hash
+/// values).
 ///
 /// The WM- and AWM-Sketch fused updates replay a plan through the slot
 /// methods below and must leave state bit-identical to their naive
@@ -415,6 +519,11 @@ pub struct CoordPlan {
     nnz: usize,
     /// Depth-sized scratch for median recovery.
     scratch: Vec<f64>,
+    /// One block of raw row hashes of the key being planned. Owned by the
+    /// plan so that [`RowHashers::plan_push`], called once per key, does
+    /// not zero a fresh stack buffer per key: at depth 1 that zeroing cost
+    /// more than the hashing it served.
+    hashes: Vec<u64>,
 }
 
 impl std::fmt::Debug for CoordPlan {
@@ -434,14 +543,16 @@ impl CoordPlan {
     }
 
     /// Clears the plan and reserves room for `nnz` keys of `depth` rows.
+    ///
+    /// The buffers are sized to `nnz` slots up front, without clearing:
+    /// every slot is overwritten when its key is planned, so only growth
+    /// past the previous length writes fill values.
     fn reset(&mut self, depth: usize, nnz: usize) {
         self.depth = depth;
         self.nnz = 0;
-        self.offsets.clear();
-        self.signs.clear();
-        let cap = depth * nnz;
-        self.offsets.reserve(cap);
-        self.signs.reserve(cap);
+        self.offsets.resize(depth * nnz, 0);
+        self.signs.resize(depth * nnz, 0.0);
+        self.hashes.resize(depth.min(BLOCK), 0);
     }
 
     /// Number of planned keys.
@@ -450,8 +561,8 @@ impl CoordPlan {
         self.nnz
     }
 
-    /// Heap bytes the plan's retained buffers own (offsets, signs, and
-    /// the median scratch) — instance-owned working state that the §7.1
+    /// Heap bytes the plan's retained buffers own (offsets, signs, the
+    /// median scratch, and the row-hash block) — instance-owned working state that the §7.1
     /// memory model deliberately excludes but truthful resident
     /// accounting must include.
     #[must_use]
@@ -459,6 +570,7 @@ impl CoordPlan {
         self.offsets.capacity() * std::mem::size_of::<u32>()
             + self.signs.capacity() * std::mem::size_of::<f64>()
             + self.scratch.capacity() * std::mem::size_of::<f64>()
+            + self.hashes.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Rows per key.
